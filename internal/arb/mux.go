@@ -36,12 +36,11 @@ type Mux struct {
 	bus Initiator
 	n   int
 
-	// pending holds each port's presented-but-ungranted transactions in
-	// presentation order; granted tracks forwarded transactions until
-	// the owning master observes the terminal state (value: master has
-	// been told StateRequest).
-	pending [][]*ecbus.Transaction
-	granted []map[*ecbus.Transaction]bool
+	// ports holds each master's presented-but-ungranted transactions in
+	// presentation order and its forwarded transactions until the master
+	// observes the terminal state. Both are reused in place: steady-state
+	// arbitration allocates nothing.
+	ports []portState
 
 	reqPrev, gntPrev uint32
 	edges            []uint64 // per-master request+grant wire transitions
@@ -50,6 +49,79 @@ type Mux struct {
 	contentions      uint64   // executed ticks with >1 requester
 
 	obs Observer
+}
+
+// portState is one master's queues inside the mux.
+type portState struct {
+	pending fifo
+	// granted is unordered and searched linearly: a master has at most
+	// a handful of transactions in flight. Removal swaps the last entry
+	// in, so the backing array keeps its capacity.
+	granted []grant
+}
+
+// grant is a forwarded transaction and whether its master has been
+// told StateRequest yet.
+type grant struct {
+	tr   *ecbus.Transaction
+	told bool
+}
+
+// find returns the index of tr in the granted set, or -1.
+func (p *portState) find(tr *ecbus.Transaction) int {
+	for i := range p.granted {
+		if p.granted[i].tr == tr {
+			return i
+		}
+	}
+	return -1
+}
+
+// forget removes tr from the granted set (a no-op if absent).
+func (p *portState) forget(tr *ecbus.Transaction) {
+	if i := p.find(tr); i >= 0 {
+		last := len(p.granted) - 1
+		p.granted[i] = p.granted[last]
+		p.granted[last] = grant{}
+		p.granted = p.granted[:last]
+	}
+}
+
+// fifo is a ring of transactions that only grows (by doubling) when a
+// master presents more than it has ever presented at once.
+type fifo struct {
+	buf  []*ecbus.Transaction // len is a power of two
+	head int
+	n    int
+}
+
+func (q *fifo) front() *ecbus.Transaction { return q.buf[q.head] }
+
+func (q *fifo) push(tr *ecbus.Transaction) {
+	if q.n == len(q.buf) {
+		buf := make([]*ecbus.Transaction, 2*len(q.buf))
+		for i := 0; i < q.n; i++ {
+			buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = tr
+	q.n++
+}
+
+func (q *fifo) pop() {
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+}
+
+func (q *fifo) contains(tr *ecbus.Transaction) bool {
+	for i := 0; i < q.n; i++ {
+		if q.buf[(q.head+i)&(len(q.buf)-1)] == tr {
+			return true
+		}
+	}
+	return false
 }
 
 // Initiator is the downstream bus interface; structurally identical to
@@ -66,15 +138,15 @@ type Initiator interface {
 // protocol state machine in every falling tick.
 func NewMux(k *sim.Kernel, policy Policy, n int) *Mux {
 	m := &Mux{
-		a:       New(policy, n),
-		n:       n,
-		pending: make([][]*ecbus.Transaction, n),
-		granted: make([]map[*ecbus.Transaction]bool, n),
-		edges:   make([]uint64, n),
-		grants:  make([]uint64, n),
+		a:      New(policy, n),
+		n:      n,
+		ports:  make([]portState, n),
+		edges:  make([]uint64, n),
+		grants: make([]uint64, n),
 	}
-	for i := 0; i < n; i++ {
-		m.granted[i] = make(map[*ecbus.Transaction]bool, 4)
+	for i := range m.ports {
+		m.ports[i].pending.buf = make([]*ecbus.Transaction, 4)
+		m.ports[i].granted = make([]grant, 0, ecbus.NumCategories*ecbus.MaxOutstanding)
 	}
 	k.AtHinted(sim.Falling, "arb-mux", m.tick, m.hint, nil)
 	return m
@@ -113,8 +185,8 @@ func (m *Mux) hint(now uint64) uint64 {
 	if m.reqPrev != 0 || m.gntPrev != 0 {
 		return now
 	}
-	for i := range m.pending {
-		if len(m.pending[i]) > 0 {
+	for i := range m.ports {
+		if m.ports[i].pending.n > 0 {
 			return now
 		}
 	}
@@ -126,8 +198,8 @@ func (m *Mux) hint(now uint64) uint64 {
 // request/grant wire activity.
 func (m *Mux) tick(cycle uint64) {
 	var req uint32
-	for i := 0; i < m.n; i++ {
-		if len(m.pending[i]) > 0 {
+	for i := range m.ports {
+		if m.ports[i].pending.n > 0 {
 			req |= 1 << uint(i)
 		}
 	}
@@ -137,14 +209,15 @@ func (m *Mux) tick(cycle uint64) {
 			m.contentions++
 		}
 		w := m.a.Pick(req)
-		tr := m.pending[w][0]
+		p := &m.ports[w]
+		tr := p.pending.front()
 		switch st := m.bus.Access(tr); st {
 		case ecbus.StateRequest, ecbus.StateOK, ecbus.StateError:
 			// Accepted (or completed on the spot: zero-time counting bus,
 			// or a validation failure). Hand the transaction over; the
 			// master learns its state on its next poll.
-			m.pending[w] = m.pending[w][1:]
-			m.granted[w][tr] = false
+			p.pending.pop()
+			p.granted = append(p.granted, grant{tr: tr})
 			m.a.Commit(w)
 			gnt = 1 << uint(w)
 			m.grants[w]++
@@ -175,8 +248,8 @@ func (m *Mux) Drained() bool {
 	if m.reqPrev != 0 || m.gntPrev != 0 {
 		return false
 	}
-	for i := 0; i < m.n; i++ {
-		if len(m.pending[i]) > 0 || len(m.granted[i]) > 0 {
+	for i := range m.ports {
+		if m.ports[i].pending.n > 0 || len(m.ports[i].granted) > 0 {
 			return false
 		}
 	}
@@ -239,32 +312,29 @@ type Port struct {
 // StateRequest (the acceptance the master is waiting for), and
 // subsequent polls delegate to the bus until the terminal state.
 func (p *Port) Access(tr *ecbus.Transaction) ecbus.BusState {
-	m := p.m
+	ps := &p.m.ports[p.i]
 	if tr.Done {
 		// Completed while held here (granted-and-finished between the
 		// master's polls, or forwarded straight to a terminal state).
-		delete(m.granted[p.i], tr)
+		ps.forget(tr)
 		if tr.Err {
 			return ecbus.StateError
 		}
 		return ecbus.StateOK
 	}
-	if told, ok := m.granted[p.i][tr]; ok {
-		if !told {
-			m.granted[p.i][tr] = true
+	if g := ps.find(tr); g >= 0 {
+		if !ps.granted[g].told {
+			ps.granted[g].told = true
 			return ecbus.StateRequest
 		}
-		st := m.bus.Access(tr)
+		st := p.m.bus.Access(tr)
 		if st.Done() {
-			delete(m.granted[p.i], tr)
+			ps.forget(tr)
 		}
 		return st
 	}
-	for _, q := range m.pending[p.i] {
-		if q == tr {
-			return ecbus.StateWait
-		}
+	if !ps.pending.contains(tr) {
+		ps.pending.push(tr)
 	}
-	m.pending[p.i] = append(m.pending[p.i], tr)
 	return ecbus.StateWait
 }

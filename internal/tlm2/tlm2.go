@@ -26,6 +26,13 @@
 // as one block; unlike layers 0/1, a data phase cannot complete in the
 // same cycle as its address phase, the other structural timing error
 // (Table 1 reports +0.5% for the layer-2 model).
+//
+// The shared data structure is allocation-free in steady state: each
+// Bus owns a fixed slab of request records, sized by the protocol's
+// outstanding-transaction cap, and its three lifecycle queues are
+// fixed-capacity rings of slab indices. A record is taken from the
+// slab when a request is created and returned when its transaction
+// retires; records never move while in flight.
 package tlm2
 
 import (
@@ -34,22 +41,13 @@ import (
 	"repro/internal/sim"
 )
 
-// reqState is the lifecycle position of a request in the shared list.
-type reqState int
-
-const (
-	stAddr reqState = iota
-	stData
-	stDone
-)
-
-// request is the entry of the shared request data structure.
+// request is the entry of the shared request data structure. Records
+// live in the Bus's slab; the queues refer to them by slab index.
 type request struct {
-	tr    *ecbus.Transaction
+	tr    *ecbus.Transaction // nil while the record is free
 	slave ecbus.Slave
 	err   bool
 
-	state   reqState
 	started bool   // address phase began (wait count re-sampled)
 	addrCnt int    // remaining address wait states
 	dataCnt int    // remaining data phase cycles after the first
@@ -58,21 +56,54 @@ type request struct {
 	readback []byte // native-interface read destination (pointer passing)
 }
 
+// slabCap is the number of request records a Bus owns: the protocol
+// caps in-flight transactions at ecbus.MaxOutstanding per category
+// (12 in total), rounded up to a power of two so the rings can mask.
+const slabCap = 16
+
+// ring is a fixed-capacity FIFO of slab indices. The records stay in
+// the slab; only their one-byte indices move through the queues.
+type ring struct {
+	buf  [slabCap]uint8
+	head uint8
+	n    uint8
+}
+
+func (q *ring) empty() bool { return q.n == 0 }
+
+// front returns the slab index of the oldest entry.
+func (q *ring) front() uint8 { return q.buf[q.head] }
+
+// back returns the slab index of the newest entry.
+func (q *ring) back() uint8 { return q.buf[(q.head+q.n-1)&(slabCap-1)] }
+
+func (q *ring) push(i uint8) {
+	q.buf[(q.head+q.n)&(slabCap-1)] = i
+	q.n++
+}
+
+func (q *ring) pop() {
+	q.head = (q.head + 1) & (slabCap - 1)
+	q.n--
+}
+
 // Bus is the layer-2 EC bus model.
 type Bus struct {
 	m     *ecbus.Map
 	cycle uint64
 
-	// The shared request data structure (paper Fig. 4), indexed by
-	// lifecycle position: requests enter addrQ at creation, move to the
-	// read or write queue when their address phase finishes, and leave
-	// when their data phase completes. Address phases complete in
-	// creation order and data phases in order per direction, so plain
-	// FIFOs realize the "oldest request in state X" selection without
-	// scanning.
-	addrQ  []*request
-	readQ  []*request
-	writeQ []*request
+	// The shared request data structure (paper Fig. 4): a slab of
+	// request records plus three rings of slab indices by lifecycle
+	// position. Requests enter addrQ at creation, move to the read or
+	// write queue when their address phase finishes, and leave when
+	// their data phase completes, freeing their record. Address phases
+	// complete in creation order and data phases in order per
+	// direction, so the rings realize the "oldest request in state X"
+	// selection without scanning.
+	slab   [slabCap]request
+	addrQ  ring
+	readQ  ring
+	writeQ ring
 
 	outstanding [ecbus.NumCategories]int
 
@@ -99,6 +130,23 @@ func New(k *sim.Kernel, m *ecbus.Map) *Bus {
 	return b
 }
 
+// alloc claims the first free slab record for tr. The
+// outstanding-category check in Access bounds live records at 12, so
+// the slab cannot run dry.
+func (b *Bus) alloc(tr *ecbus.Transaction) uint8 {
+	for i := range b.slab {
+		if b.slab[i].tr == nil {
+			b.slab[i].tr = tr
+			return uint8(i)
+		}
+	}
+	panic("tlm2: request slab exhausted (protocol cap exceeded)")
+}
+
+// release frees a retired request's record, zeroed so transaction,
+// slave and readback references are not retained.
+func (b *Bus) release(i uint8) { b.slab[i] = request{} }
+
 // hint reports the earliest future cycle with bus activity: phase
 // completions (which move requests, book energy and touch slaves) must
 // execute, while pure countdown ticks only decrement a counter and can
@@ -106,8 +154,8 @@ func New(k *sim.Kernel, m *ecbus.Map) *Bus {
 // skipped countdown cycles dissipate nothing by construction.
 func (b *Bus) hint(now uint64) uint64 {
 	next := sim.NoEvent
-	if len(b.addrQ) > 0 {
-		r := b.addrQ[0]
+	if !b.addrQ.empty() {
+		r := &b.slab[b.addrQ.front()]
 		switch {
 		case r.tr.IssueCycle > now:
 			next = r.tr.IssueCycle
@@ -119,19 +167,13 @@ func (b *Bus) hint(now uint64) uint64 {
 			return now // completion tick
 		}
 	}
-	if len(b.readQ) > 0 {
-		r := b.readQ[0]
+	for _, q := range [...]*ring{&b.readQ, &b.writeQ} {
+		if q.empty() {
+			continue
+		}
+		r := &b.slab[q.front()]
 		if r.joined >= now || r.dataCnt == 0 {
 			return now // no-op join tick or completion tick
-		}
-		if c := now + uint64(r.dataCnt); c < next {
-			next = c
-		}
-	}
-	if len(b.writeQ) > 0 {
-		r := b.writeQ[0]
-		if r.joined >= now || r.dataCnt == 0 {
-			return now
 		}
 		if c := now + uint64(r.dataCnt); c < next {
 			next = c
@@ -147,20 +189,17 @@ func (b *Bus) hint(now uint64) uint64 {
 func (b *Bus) onSkip(n uint64) {
 	first := b.cycle + 1 // first fast-forwarded cycle
 	b.cycle += n
-	if len(b.addrQ) > 0 {
-		if r := b.addrQ[0]; r.started && r.tr.IssueCycle <= first && r.addrCnt > 0 {
+	if !b.addrQ.empty() {
+		if r := &b.slab[b.addrQ.front()]; r.started && r.tr.IssueCycle <= first && r.addrCnt > 0 {
 			r.addrCnt -= int(n)
 			b.mx.WaitCycles(n)
 		}
 	}
-	if len(b.readQ) > 0 {
-		if r := b.readQ[0]; r.joined < first && r.dataCnt > 0 {
-			r.dataCnt -= int(n)
-			b.mx.WaitCycles(n)
+	for _, q := range [...]*ring{&b.readQ, &b.writeQ} {
+		if q.empty() {
+			continue
 		}
-	}
-	if len(b.writeQ) > 0 {
-		if r := b.writeQ[0]; r.joined < first && r.dataCnt > 0 {
+		if r := &b.slab[q.front()]; r.joined < first && r.dataCnt > 0 {
 			r.dataCnt -= int(n)
 			b.mx.WaitCycles(n)
 		}
@@ -206,7 +245,7 @@ func (b *Bus) Stats() Stats { return b.stats }
 
 // Idle reports whether no request is in flight.
 func (b *Bus) Idle() bool {
-	return len(b.addrQ) == 0 && len(b.readQ) == 0 && len(b.writeQ) == 0
+	return b.addrQ.empty() && b.readQ.empty() && b.writeQ.empty()
 }
 
 // Ticket tracks a pointer-interface request to completion.
@@ -256,14 +295,15 @@ func (b *Bus) Write(p []byte, nbytes int, addr uint64) *Ticket {
 }
 
 // bindReadback arranges for read data to land in the caller's buffer at
-// completion (pointer passing: no per-beat copies). The request was just
-// created, so it is the newest entry of the address queue.
+// completion (pointer passing: no per-beat copies). An accepted request
+// was just created, so it is the newest entry of the address queue; a
+// request that failed validation was never queued and binds nothing.
 func (b *Bus) bindReadback(tr *ecbus.Transaction, p []byte, nbytes int) {
-	for i := len(b.addrQ) - 1; i >= 0; i-- {
-		if b.addrQ[i].tr == tr {
-			b.addrQ[i].readback = p[:nbytes]
-			return
-		}
+	if b.addrQ.empty() {
+		return
+	}
+	if r := &b.slab[b.addrQ.back()]; r.tr == tr {
+		r.readback = p[:nbytes]
 	}
 }
 
@@ -328,22 +368,24 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 		b.mx.TxRetired(tr, -1, true)
 		return ecbus.StateError
 	}
-	r := &request{tr: tr}
-	b.sampleSlaveState(r)
+	i := b.alloc(tr)
+	b.sampleSlaveState(&b.slab[i])
 	b.outstanding[cat]++
 	tr.IssueCycle = b.cycle + 1
-	b.addrQ = append(b.addrQ, r)
+	b.addrQ.push(i)
 	b.stats.Accepted++
 	b.mx.TxAccepted(cat, b.outstanding[cat])
 	return ecbus.StateRequest
 }
 
+// isQueued reports whether tr holds a live slab record. It is only
+// reached for transactions with IssueCycle 0 — new ones, and those
+// accepted before the first bus cycle — and scans at most slabCap
+// records.
 func (b *Bus) isQueued(tr *ecbus.Transaction) bool {
-	for _, q := range [][]*request{b.addrQ, b.readQ, b.writeQ} {
-		for _, r := range q {
-			if r.tr == tr {
-				return true
-			}
+	for i := range b.slab {
+		if b.slab[i].tr == tr {
+			return true
 		}
 	}
 	return false
@@ -396,10 +438,11 @@ func (b *Bus) busProcess(cycle uint64) {
 
 // addressPhase serves the request at the head of the address queue.
 func (b *Bus) addressPhase(cycle uint64) {
-	if len(b.addrQ) == 0 {
+	if b.addrQ.empty() {
 		return
 	}
-	r := b.addrQ[0]
+	i := b.addrQ.front()
+	r := &b.slab[i]
 	if r.tr.IssueCycle > cycle {
 		return
 	}
@@ -411,7 +454,7 @@ func (b *Bus) addressPhase(cycle uint64) {
 		b.mx.WaitCycle()
 		return
 	}
-	b.addrQ = b.addrQ[1:]
+	b.addrQ.pop()
 	r.tr.AddrCycle = cycle
 	if b.power != nil {
 		b.power.addressPhaseEnergy(r.tr)
@@ -420,7 +463,6 @@ func (b *Bus) addressPhase(cycle uint64) {
 		b.sampleEnergy(metrics.PhaseAddress, r.tr.Addr)
 	}
 	if r.err {
-		r.state = stDone
 		r.tr.Done, r.tr.Err = true, true
 		r.tr.DataCycle = cycle
 		b.outstanding[r.tr.Category()]--
@@ -432,25 +474,26 @@ func (b *Bus) addressPhase(cycle uint64) {
 			b.sampleEnergy(metrics.PhaseError, r.tr.Addr)
 			b.mx.TxRetired(r.tr, b.m.Index(r.tr.Addr), true)
 		}
+		b.release(i)
 		return
 	}
-	r.state = stData
 	r.joined = cycle
 	if r.tr.Kind.IsRead() {
-		b.readQ = append(b.readQ, r)
+		b.readQ.push(i)
 	} else {
-		b.writeQ = append(b.writeQ, r)
+		b.writeQ.push(i)
 	}
 }
 
 // dataPhase serves the request at the head of one direction queue. A
 // request that entered its data phase this cycle starts counting next
 // cycle (no same-cycle address+data completion at layer 2).
-func (b *Bus) dataPhase(cycle uint64, q *[]*request) {
-	if len(*q) == 0 {
+func (b *Bus) dataPhase(cycle uint64, q *ring) {
+	if q.empty() {
 		return
 	}
-	r := (*q)[0]
+	i := q.front()
+	r := &b.slab[i]
 	if r.joined == cycle {
 		return
 	}
@@ -459,8 +502,9 @@ func (b *Bus) dataPhase(cycle uint64, q *[]*request) {
 		b.mx.WaitCycle()
 		return
 	}
-	*q = (*q)[1:]
+	q.pop()
 	b.completeData(r, cycle)
+	b.release(i)
 }
 
 // completeData finishes a request's data phase: the block transfer is
@@ -506,7 +550,6 @@ func (b *Bus) completeData(r *request, cycle uint64) {
 	if !ok && b.power != nil {
 		b.power.errorEnergy(tr.Kind)
 	}
-	r.state = stDone
 	tr.Done, tr.Err = true, !ok
 	tr.DataCycle = cycle
 	if b.mx != nil {

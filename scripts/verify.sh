@@ -1,7 +1,8 @@
 #!/bin/sh
 # verify.sh — the full pre-merge gate:
 #   tier-1 (build + all tests), vet, the race gate for the concurrent
-#   packages, coverage floors, a short fuzz pass over every fuzz
+#   packages, a 20-fold repeat of the race gate over serve and cluster,
+#   coverage floors, a short fuzz pass over every fuzz
 #   target, and a 1-iteration benchmark smoke so every benchmark keeps
 #   compiling and running.
 set -eu
@@ -16,6 +17,12 @@ go vet ./...
 
 echo "== race gate (explore, sim, fault, serve, batch, tlm3, calib, cluster, arb, dma, crypto, tear, journal)"
 go test -race ./internal/explore/... ./internal/sim/... ./internal/fault/... ./internal/serve/... ./internal/batch/... ./internal/tlm3/... ./internal/calib/... ./internal/cluster/... ./internal/arb/... ./internal/dma/... ./internal/crypto/... ./internal/tear/... ./internal/journal/...
+
+echo "== repeat-run race gate (serve, cluster x20)"
+# Schedule-dependent failures (the admission/WaitGroup ordering in
+# serve, the work-stealing lanes in cluster) must fail here, not one
+# run in ten.
+go test -race -count=20 ./internal/serve/ ./internal/cluster/
 
 echo "== coverage floors"
 ./scripts/cover.sh
